@@ -137,6 +137,26 @@ def test_smoke_ladder_1200(benchmark):
                        "DSC": 1466.0, "LC": 1456.0}
 
 
+def test_smoke_ladder_coupled(benchmark):
+    """The ladder's coupled pair-searchers: ETF and DLS at 1200 nodes.
+
+    Kept apart from :func:`test_smoke_ladder_1200` so that case's
+    baseline stays comparable.  Both run on the shared vectorised
+    (ready node, processor) scan; before it they took ~20 s together
+    here, so a 2x slip of this case means the scan fell back to
+    per-pair Python work.  Locks the exact lengths as well.
+    """
+    graph = rgnos_graph(1200, 1.0, 3, seed=53)
+
+    def run():
+        return {name: get_scheduler(name).schedule(
+                    graph, Machine.unbounded(graph)).length
+                for name in ("ETF", "DLS")}
+
+    lengths = benchmark.pedantic(run, rounds=1, iterations=1)
+    assert lengths == {"ETF": 1475.0, "DLS": 1482.0}
+
+
 def test_smoke_service_storm(benchmark):
     """Schedule-as-a-service: a small seeded storm over real HTTP.
 

@@ -117,16 +117,22 @@ def main(argv=None) -> int:
             prior = load_doc(args.baseline)
         except FileNotFoundError:
             prior = {}
-        doc = {
-            "_comment": "min times (s) from benchmarks/bench_smoke.py + "
-                        "bench_kernel.py; regenerate with "
-                        "check_regression.py --update",
-            "benchmarks": {name: current[name] for name in sorted(current)},
-        }
         # Counters refresh only when a manifest is supplied; a plain
         # timing update keeps the committed behaviour baseline.
         counters = (manifest_counters if manifest_counters is not None
                     else prior.get("counters"))
+        doc = {
+            "_comment": "min times (s) from benchmarks/bench_smoke.py + "
+                        "bench_kernel.py; "
+                        + ("'counters' is the deterministic section of "
+                           "the traced online-gap manifest (repro-bench "
+                           "--trace sim run online-gap --no-store); "
+                           "regenerate with check_regression.py --update "
+                           "[--manifest trace.manifest.json]"
+                           if counters else
+                           "regenerate with check_regression.py --update"),
+            "benchmarks": {name: current[name] for name in sorted(current)},
+        }
         if counters:
             doc["counters"] = {n: counters[n] for n in sorted(counters)}
         with open(args.baseline, "w") as fh:

@@ -12,14 +12,15 @@ contention-aware variant lives in :mod:`repro.algorithms.apn.dls_apn`.
 This clique version is the BNP family member the paper evaluates.
 Dynamic-priority, greedy, non-insertion; O(p v^3) worst case (the paper
 reports DLS and ETF as the slowest BNP algorithms, and DLS as using the
-fewest processors).
+fewest processors).  The pair search is the shared
+:class:`~repro.core.listsched.CoupledScan`, as in ETF.
 """
 
 from __future__ import annotations
 
 from ...core.attributes import static_blevel
 from ...core.graph import TaskGraph
-from ...core.listsched import ReadyTracker, candidate_procs
+from ...core.listsched import CoupledScan, ReadyTracker
 from ...core.machine import Machine
 from ...core.schedule import Schedule
 from ..base import Scheduler, register
@@ -40,26 +41,9 @@ class DLS(Scheduler):
         sl = static_blevel(graph)
         schedule = Schedule(graph, machine.num_procs, speeds=machine.speeds)
         ready = ReadyTracker(graph)
-        homogeneous = schedule.speeds is None
+        scan = CoupledScan(schedule, ready)
         while not ready.all_scheduled():
-            # Candidate shortlist is loop-invariant within a step; one
-            # arrival profile per ready node makes each pair O(1).
-            procs = candidate_procs(schedule)
-            best = None  # (-DL, node, proc, est)
-            for node in ready.iter_ready():
-                profile = schedule.arrival_profile(node)
-                level = sl[node]
-                dur = schedule.duration_of(node, 0) if homogeneous else None
-                for proc in procs:
-                    if not homogeneous:
-                        dur = schedule.duration_of(node, proc)
-                    est = schedule.earliest_slot(proc, profile.drt(proc),
-                                                 dur, insertion=False)
-                    dl = level - est
-                    key = (-dl, node, proc)
-                    if best is None or key < best[:3]:
-                        best = (key[0], node, proc, est)
-            _, node, proc, est = best
-            schedule.place(node, proc, est)
+            node, proc, start = scan.dynamic_level(sl.__getitem__)
+            schedule.place(node, proc, start)
             ready.mark_scheduled(node)
         return schedule

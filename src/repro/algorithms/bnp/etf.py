@@ -5,14 +5,15 @@ on *every* processor and schedules the (node, processor) pair that can
 start soonest; ties are resolved toward the node with the higher static
 level.  The exhaustive pair search is what the paper blames for ETF's
 high running time (Table 6): a dynamic-priority, greedy, non-insertion
-algorithm of complexity O(p v^2).
+algorithm of complexity O(p v^2).  Here the pair search is the shared
+:class:`~repro.core.listsched.CoupledScan`, one numpy block per step.
 """
 
 from __future__ import annotations
 
 from ...core.attributes import static_blevel
 from ...core.graph import TaskGraph
-from ...core.listsched import ReadyTracker, candidate_procs
+from ...core.listsched import CoupledScan, ReadyTracker
 from ...core.machine import Machine
 from ...core.schedule import Schedule
 from ..base import Scheduler, register
@@ -33,27 +34,9 @@ class ETF(Scheduler):
         sl = static_blevel(graph)
         schedule = Schedule(graph, machine.num_procs, speeds=machine.speeds)
         ready = ReadyTracker(graph)
-        homogeneous = schedule.speeds is None
+        scan = CoupledScan(schedule, ready)
         while not ready.all_scheduled():
-            # The schedule does not change within one step, so the
-            # candidate shortlist is loop-invariant; each ready node
-            # contributes one O(deg) arrival profile, then every
-            # (node, proc) EST is an O(1) query.
-            procs = candidate_procs(schedule)
-            best = None  # (est, -sl, node, proc)
-            for node in ready.iter_ready():
-                profile = schedule.arrival_profile(node)
-                neg_sl = -sl[node]
-                dur = schedule.duration_of(node, 0) if homogeneous else None
-                for proc in procs:
-                    if not homogeneous:
-                        dur = schedule.duration_of(node, proc)
-                    est = schedule.earliest_slot(proc, profile.drt(proc),
-                                                 dur, insertion=False)
-                    key = (est, neg_sl, node, proc)
-                    if best is None or key < best:
-                        best = key
-            _, _, node, proc = best
-            schedule.place(node, proc, best[0])
+            node, proc, start = scan.earliest(sl.__getitem__)
+            schedule.place(node, proc, start)
             ready.mark_scheduled(node)
         return schedule

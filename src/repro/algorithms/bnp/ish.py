@@ -10,8 +10,11 @@ can yield dramatic performance" (Section 7).
 
 from __future__ import annotations
 
+from typing import Dict
+
 from ...core.attributes import static_blevel
 from ...core.graph import TaskGraph
+from ...core.kernel import ArrivalProfile
 from ...core.listsched import ReadyTracker, best_proc_min_est
 from ...core.machine import Machine
 from ...core.schedule import Schedule
@@ -34,10 +37,15 @@ class ISH(Scheduler):
         schedule = Schedule(graph, machine.num_procs, speeds=machine.speeds)
         ready = ReadyTracker(graph)
         queue = ready.priority_queue(lambda n: (-sl[n], n))
+        # One arrival profile per ready node that hole filling looked
+        # at: its parents never move, so the profile stays valid until
+        # the node itself is placed.
+        profiles: Dict[int, ArrivalProfile] = {}
         while not ready.all_scheduled():
             node = queue.pop_best()
             # Processor choice is HLFET's: min EST without insertion.
-            proc, start = best_proc_min_est(schedule, node, insertion=False)
+            proc, start = best_proc_min_est(schedule, node, insertion=False,
+                                            profile=profiles.pop(node, None))
             gap_begin = schedule.proc_ready_time(proc)
             schedule.place(node, proc, start)
             for child in ready.mark_scheduled(node):
@@ -54,16 +62,21 @@ class ISH(Scheduler):
                 placed_any = False
                 for cand in sorted(ready.iter_ready(),
                                    key=lambda n: (-sl[n], n)):
-                    drt = schedule.data_ready_time(cand, proc)
-                    cand_start = max(gap_begin, drt)
+                    profile = profiles.get(cand)
+                    if profile is None:
+                        profile = profiles[cand] = \
+                            schedule.arrival_profile(cand)
+                    cand_start = max(gap_begin, profile.drt(proc))
                     cand_dur = schedule.duration_of(cand, proc)
                     if cand_start + cand_dur > gap_end + 1e-9:
                         continue
                     _, elsewhere = best_proc_min_est(schedule, cand,
-                                                     insertion=False)
+                                                     insertion=False,
+                                                     profile=profile)
                     if cand_start > elsewhere + 1e-9:
                         continue
                     schedule.place(cand, proc, cand_start)
+                    del profiles[cand]
                     for child in ready.mark_scheduled(cand):
                         queue.push(child)
                     gap_begin = cand_start + cand_dur

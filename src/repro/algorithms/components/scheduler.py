@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence, Tuple
 
 from ...core.graph import TaskGraph
+from ...core.kernel import ArrivalProfile
 from ...core.listsched import ReadyTracker, best_proc_min_est
 from ...core.machine import Machine
 from ...core.schedule import Schedule
@@ -93,20 +94,21 @@ def run_component_loop(
         for node, proc, start, duration in pinned:
             schedule.place(node, proc, start, duration=duration)
             _settle(ready, prio, pool, node)
-        selector = parts["proc"]
+        pick = parts["proc"].start(schedule, ready)
         slot = parts["insert"].slot
         hole = parts["insert"].hole_fill
+        profiles: Dict[int, ArrivalProfile] = {}
         gap_begin = 0.0
         while not ready.all_scheduled():
-            node, proc, start = selector.pick(schedule, ready, pool,
-                                              prio, slot)
+            node, proc, start = pick(pool, prio, slot)
             if hole:
                 gap_begin = schedule.proc_ready_time(proc)
             schedule.place(node, proc, start)
             _settle(ready, prio, pool, node)
             if hole:
+                profiles.pop(node, None)
                 _fill_hole(schedule, ready, pool, prio, proc,
-                           gap_begin, start)
+                           gap_begin, start, profiles)
     return schedule
 
 
@@ -128,7 +130,7 @@ def _settle(ready: ReadyTracker, prio: PriorityState, pool: ReadyPool,
 
 def _fill_hole(schedule: Schedule, ready: ReadyTracker, pool: ReadyPool,
                prio: PriorityState, proc: int, gap_begin: float,
-               gap_end: float) -> None:
+               gap_end: float, profiles: Dict[int, ArrivalProfile]) -> None:
     """ISH's hole filler, generalised to any priority rule.
 
     The idle window ``[gap_begin, gap_end)`` on ``proc`` may host other
@@ -137,20 +139,28 @@ def _fill_hole(schedule: Schedule, ready: ReadyTracker, pool: ReadyPool,
     (b) could not start earlier on any other processor — otherwise
     stealing it into the hole trades global placement quality for local
     utilisation.
+
+    ``profiles`` caches one arrival profile per ready candidate across
+    the run (a ready node's parents never move); it serves both the
+    hole's data-ready time and the "elsewhere" check.
     """
     while gap_end - gap_begin > 1e-12:
         placed_any = False
         for cand in sorted(ready.iter_ready(), key=prio.key):
-            drt = schedule.data_ready_time(cand, proc)
-            cand_start = max(gap_begin, drt)
+            profile = profiles.get(cand)
+            if profile is None:
+                profile = profiles[cand] = schedule.arrival_profile(cand)
+            cand_start = max(gap_begin, profile.drt(proc))
             cand_dur = schedule.duration_of(cand, proc)
             if cand_start + cand_dur > gap_end + 1e-9:
                 continue
             _, elsewhere = best_proc_min_est(schedule, cand,
-                                             insertion=False)
+                                             insertion=False,
+                                             profile=profile)
             if cand_start > elsewhere + 1e-9:
                 continue
             schedule.place(cand, proc, cand_start)
+            del profiles[cand]
             _metrics.incr("sched.insertion_holes")
             _settle(ready, prio, pool, cand)
             gap_begin = cand_start + cand_dur

@@ -11,20 +11,21 @@ together — the ready-pool ordering is irrelevant to them, and the
 priority rule participates through its scalar ``value`` (ETF's
 tie-break, DLS's dynamic-level term).
 
-Each coupled selector reproduces the corresponding monolith's scan —
-same candidate shortlist, same arrival-profile reuse, same comparison
-keys — so composing it with the monolith's priority rule is
-placement-identical to the hand-written algorithm.
+Both coupled selectors run the shared
+:class:`~repro.core.listsched.CoupledScan` — the same candidate
+shortlist and comparison keys as the ETF/DLS monoliths — so composing
+one with the monolith's priority rule is placement-identical to the
+hand-written algorithm.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Callable, Dict, Tuple
 
 from ...core.listsched import (
     best_proc_min_eft,
     best_proc_min_est,
-    candidate_procs,
+    CoupledScan,
     est_on_proc,
     ReadyTracker,
 )
@@ -34,21 +35,25 @@ from .priorities import PriorityState
 
 __all__ = ["ProcSelector", "PROC_SELECTORS"]
 
+#: A per-run pick function: ``pick(pool, prio, slot)`` returns the next
+#: ``(node, proc, start)`` placement; ``slot`` is the insertion policy's
+#: earliest-slot flag.
+Pick = Callable[[ReadyPool, PriorityState, bool], Tuple[int, int, float]]
+
 
 class ProcSelector:
     """One value of the ``proc=`` axis.
 
-    ``pick`` returns the next ``(node, proc, start)`` placement;
-    ``slot`` forwards the insertion policy's earliest-slot flag.
+    ``start`` binds the selector to one run's schedule and ready
+    tracker (creating any per-run scan state, as ``prio.start`` and
+    ``pool.start`` do) and returns its :data:`Pick` function.
     """
 
     key: str = "?"
     summary: str = "?"
     coupled: bool = False
 
-    def pick(self, schedule: Schedule, ready: ReadyTracker,
-             pool: ReadyPool, prio: PriorityState,
-             slot: bool) -> Tuple[int, int, float]:
+    def start(self, schedule: Schedule, ready: ReadyTracker) -> Pick:
         raise NotImplementedError
 
 
@@ -58,12 +63,13 @@ class _MinEstSelector(ProcSelector):
                "minimising its start time")
     coupled = False
 
-    def pick(self, schedule: Schedule, ready: ReadyTracker,
-             pool: ReadyPool, prio: PriorityState,
-             slot: bool) -> Tuple[int, int, float]:
-        node = pool.pop()
-        proc, start = best_proc_min_est(schedule, node, insertion=slot)
-        return node, proc, start
+    def start(self, schedule: Schedule, ready: ReadyTracker) -> Pick:
+        def pick(pool: ReadyPool, prio: PriorityState,
+                 slot: bool) -> Tuple[int, int, float]:
+            node = pool.pop()
+            proc, start = best_proc_min_est(schedule, node, insertion=slot)
+            return node, proc, start
+        return pick
 
 
 class _MinEftSelector(ProcSelector):
@@ -73,12 +79,14 @@ class _MinEftSelector(ProcSelector):
                "est only under heterogeneous speeds)")
     coupled = False
 
-    def pick(self, schedule: Schedule, ready: ReadyTracker,
-             pool: ReadyPool, prio: PriorityState,
-             slot: bool) -> Tuple[int, int, float]:
-        node = pool.pop()
-        proc, _finish = best_proc_min_eft(schedule, node, insertion=slot)
-        return node, proc, est_on_proc(schedule, node, proc, slot)
+    def start(self, schedule: Schedule, ready: ReadyTracker) -> Pick:
+        def pick(pool: ReadyPool, prio: PriorityState,
+                 slot: bool) -> Tuple[int, int, float]:
+            node = pool.pop()
+            proc, _finish = best_proc_min_eft(schedule, node,
+                                              insertion=slot)
+            return node, proc, est_on_proc(schedule, node, proc, slot)
+        return pick
 
 
 class _EtfSelector(ProcSelector):
@@ -88,30 +96,9 @@ class _EtfSelector(ProcSelector):
                "breaks ties")
     coupled = True
 
-    def pick(self, schedule: Schedule, ready: ReadyTracker,
-             pool: ReadyPool, prio: PriorityState,
-             slot: bool) -> Tuple[int, int, float]:
-        # The schedule does not change within one step, so the
-        # candidate shortlist is loop-invariant; each ready node
-        # contributes one O(deg) arrival profile, then every
-        # (node, proc) EST is an O(1) query.
-        procs = candidate_procs(schedule)
-        homogeneous = schedule.speeds is None
-        best = None  # (est, -value, node, proc)
-        for node in ready.iter_ready():
-            profile = schedule.arrival_profile(node)
-            neg = -prio.value(node)
-            dur = schedule.duration_of(node, 0) if homogeneous else None
-            for proc in procs:
-                if not homogeneous:
-                    dur = schedule.duration_of(node, proc)
-                est = schedule.earliest_slot(proc, profile.drt(proc),
-                                             dur, insertion=slot)
-                key = (est, neg, node, proc)
-                if best is None or key < best:
-                    best = key
-        est, _, node, proc = best
-        return node, proc, est
+    def start(self, schedule: Schedule, ready: ReadyTracker) -> Pick:
+        scan = CoupledScan(schedule, ready)
+        return lambda pool, prio, slot: scan.earliest(prio.value, slot)
 
 
 class _DlsSelector(ProcSelector):
@@ -120,27 +107,10 @@ class _DlsSelector(ProcSelector):
                "start time over all (ready node, processor) pairs")
     coupled = True
 
-    def pick(self, schedule: Schedule, ready: ReadyTracker,
-             pool: ReadyPool, prio: PriorityState,
-             slot: bool) -> Tuple[int, int, float]:
-        procs = candidate_procs(schedule)
-        homogeneous = schedule.speeds is None
-        best = None  # (-DL, node, proc, est)
-        for node in ready.iter_ready():
-            profile = schedule.arrival_profile(node)
-            level = prio.value(node)
-            dur = schedule.duration_of(node, 0) if homogeneous else None
-            for proc in procs:
-                if not homogeneous:
-                    dur = schedule.duration_of(node, proc)
-                est = schedule.earliest_slot(proc, profile.drt(proc),
-                                             dur, insertion=slot)
-                dl = level - est
-                key = (-dl, node, proc)
-                if best is None or key < best[:3]:
-                    best = (key[0], node, proc, est)
-        _, node, proc, est = best
-        return node, proc, est
+    def start(self, schedule: Schedule, ready: ReadyTracker) -> Pick:
+        scan = CoupledScan(schedule, ready)
+        return lambda pool, prio, slot: scan.dynamic_level(prio.value,
+                                                           slot)
 
 
 PROC_SELECTORS: Dict[str, ProcSelector] = {
