@@ -23,11 +23,12 @@ BU          APN    Mehdiratta & Ghose (1994)
 BSA         APN    Kwok & Ahmad (1995)
 ==========  =====  =========================================
 
-Beyond the 15 monoliths, :func:`get_scheduler` also accepts ``param:``
-component spec strings (``"param:prio=blevel,ready=prio,proc=etf,
-insert=off"``) that synthesize a BNP list scheduler from pluggable
-components; the six BNP rows above are reproducible bit-for-bit as
-named points of that space (see :mod:`repro.algorithms.components`).
+The six BNP rows are named points of a component space (see
+:mod:`repro.algorithms.components`): each acronym resolves to the
+one parameterized list scheduler running its spec.  Beyond the 15
+names, :func:`get_scheduler` also accepts ``param:`` component spec
+strings (``"param:prio=blevel,ready=prio,proc=etf,insert=off"``) that
+synthesize a BNP list scheduler from any combination of components.
 """
 
 from .base import (
@@ -37,10 +38,9 @@ from .base import (
     list_schedulers,
     register,
 )
-from . import bnp, unc, apn  # noqa: F401  (imports register the algorithms)
+from . import unc, apn  # noqa: F401  (imports register the algorithms)
 from .components import BNP_SPECS, ParamScheduler, SchedulerSpec, parse_spec
 from .apn import BSA, BU, DLSAPN, MH, cpn_dominant_list, simulate_on_network
-from .bnp import DLS, ETF, HLFET, ISH, LAST, MCP
 from .mapping import (
     mapping_makespan,
     schedule_from_mapping,
@@ -58,12 +58,6 @@ __all__ = [
     "ParamScheduler",
     "SchedulerSpec",
     "parse_spec",
-    "HLFET",
-    "ISH",
-    "MCP",
-    "ETF",
-    "DLS",
-    "LAST",
     "EZ",
     "LC",
     "DSC",

@@ -4,8 +4,8 @@ The original DLS targets "interconnection-constrained" architectures:
 the dynamic level ``DL(n, p) = SL(n) - EST(n, p)`` is evaluated with
 message delays taken from the actual state of the interconnect, and the
 (ready node, processor) pair with the highest level wins.  This is the
-APN member of the DLS family (the clique variant lives in
-:mod:`repro.algorithms.bnp.dls`); the paper registers its running time
+APN member of the DLS family (the clique variant is the ``DLS``
+component spec, ``proc=dls``); the paper registers its running time
 as the largest of the APN class (it probes every ready-node/processor
 pair every step) with performance "relatively stable with respect to the
 graph size".

@@ -6,9 +6,11 @@ mirror the paper's taxonomy (Section 3/4): the class (BNP/UNC/APN) and
 the design-decision flags the paper's analysis keys on (critical-path
 based?, dynamic priority?, insertion?).
 
-Algorithms self-register via the :func:`register` decorator; lookups go
-through :func:`get_scheduler` / :func:`list_schedulers`.  Besides the
-registered acronyms, :func:`get_scheduler` resolves *component spec*
+Algorithms self-register via :func:`register` (one shared instance per
+name); lookups go through :func:`get_scheduler` / :func:`list_schedulers`.
+The six BNP acronyms are registered as named component specs (see
+:mod:`repro.algorithms.components`).  Besides the registered acronyms,
+:func:`get_scheduler` resolves *component spec*
 strings (``param:prio=blevel,ready=fifo,proc=est,insert=on``) into
 parameterized schedulers assembled by
 :mod:`repro.algorithms.components` — every layer that takes an
@@ -19,7 +21,7 @@ simulator) therefore accepts synthesized schedulers for free.
 from __future__ import annotations
 
 import abc
-from typing import Dict, List, Optional, Type
+from typing import Callable, Dict, List, Optional
 
 from ..core.graph import TaskGraph
 from ..core.machine import Machine, NetworkMachine
@@ -36,7 +38,7 @@ __all__ = [
 
 SCHEDULER_CLASSES = ("BNP", "UNC", "APN")
 
-_REGISTRY: Dict[str, Type["Scheduler"]] = {}
+_REGISTRY: Dict[str, "Scheduler"] = {}
 
 
 class Scheduler(abc.ABC):
@@ -85,18 +87,21 @@ class Scheduler(abc.ABC):
         return f"<{self.klass} scheduler {self.name}>"
 
 
-def register(cls: Type[Scheduler]) -> Type[Scheduler]:
-    """Class decorator adding ``cls`` to the global registry."""
-    key = cls.name.upper()
-    if key in _REGISTRY and _REGISTRY[key] is not cls:
-        raise ValueError(f"duplicate scheduler name {cls.name!r}")
-    if cls.klass not in SCHEDULER_CLASSES:
-        raise ValueError(f"{cls.name}: unknown class {cls.klass!r}")
-    _REGISTRY[key] = cls
-    return cls
+def register(sched):
+    """Register a scheduler instance, or (as a class decorator) one
+    instance of a :class:`Scheduler` subclass, under its name."""
+    inst = sched() if isinstance(sched, type) else sched
+    key = inst.name.upper()
+    if key in _REGISTRY:
+        raise ValueError(f"duplicate scheduler name {inst.name!r}")
+    if inst.klass not in SCHEDULER_CLASSES:
+        raise ValueError(f"{inst.name}: unknown class {inst.klass!r}")
+    _REGISTRY[key] = inst
+    return sched
 
 
-_INSTANCES: Dict[str, Scheduler] = {}
+#: Spec-string schedulers, memoized by canonical spelling.
+_SPEC_SCHEDULERS: Dict[str, Scheduler] = {}
 
 
 def get_scheduler(name: str) -> Scheduler:
@@ -108,44 +113,33 @@ def get_scheduler(name: str) -> Scheduler:
     grammar), and online spec strings (``"online:mcp,imode=mean"``;
     see :mod:`repro.sim.online` — the schedule is the zero-noise
     event-driven execution under the spec's information mode).
-    Schedulers are stateless, so instances are memoized — repeated
+    Schedulers are stateless, so instances are shared — repeated
     lookups of the same name (or of two spellings of the same spec)
     return the same object.
     """
-    if name.strip().lower().startswith("param:"):
+    prefix = name.strip().lower()
+    if prefix.startswith("param:"):
         from .components import ParamScheduler, parse_spec
 
-        spec = parse_spec(name)
-        key = spec.canonical()
-        inst = _INSTANCES.get(key)
-        if inst is None:
-            inst = ParamScheduler(spec)
-            _INSTANCES[key] = inst
-        return inst
-    if name.strip().lower().startswith("online:"):
+        return _spec_scheduler(parse_spec(name), ParamScheduler)
+    if prefix.startswith("online:"):
         from ..sim.online import OnlineScheduler, parse_online_spec
 
-        ospec = parse_online_spec(name)
-        key = ospec.canonical()
-        inst = _INSTANCES.get(key)
-        if inst is None:
-            inst = OnlineScheduler(ospec)
-            _INSTANCES[key] = inst
-        return inst
+        return _spec_scheduler(parse_online_spec(name), OnlineScheduler)
     try:
-        cls = _REGISTRY[name.upper()]
+        return _REGISTRY[name.upper()]
     except KeyError:
         known = ", ".join(sorted(_REGISTRY))
         raise KeyError(
             f"unknown scheduler {name!r}; known: {known} "
             f"(or a 'param:' component spec / 'online:' spec)") from None
-    inst = _INSTANCES.get(name.upper())
-    if inst is None or type(inst) is not cls:
-        # ``type(inst) is not cls`` guards against re-registration
-        # under an existing key (tests do this): the memo must never
-        # outlive the class it instantiated.
-        inst = cls()
-        _INSTANCES[name.upper()] = inst
+
+
+def _spec_scheduler(spec, make: Callable) -> Scheduler:
+    key = spec.canonical()
+    inst = _SPEC_SCHEDULERS.get(key)
+    if inst is None:
+        inst = _SPEC_SCHEDULERS[key] = make(spec)
     return inst
 
 
@@ -153,7 +147,7 @@ def list_schedulers(klass: Optional[str] = None) -> List[str]:
     """Registered scheduler names, optionally filtered by class."""
     names = [
         name
-        for name, cls in _REGISTRY.items()
-        if klass is None or cls.klass == klass.upper()
+        for name, sched in _REGISTRY.items()
+        if klass is None or sched.klass == klass.upper()
     ]
     return sorted(names)

@@ -1,9 +1,9 @@
 """Composable scheduler components (Coleman et al.'s design space).
 
-The paper's six BNP schedulers are hand-written monoliths, but each is
-one point in a four-axis space: **priority rule** × **ready-pool
-policy** × **processor selector** × **insertion policy**.  This package
-makes the axes explicit —
+Each of the paper's six BNP schedulers is one point in a four-axis
+space: **priority rule** × **ready-pool policy** × **processor
+selector** × **insertion policy**.  This package makes the axes
+explicit —
 
 =========  =============================  ==========================
 Axis       Registry                       Values
@@ -21,8 +21,9 @@ combination on the flat-array kernel.  ``repro.get_scheduler`` resolves
 spec strings (``param:prio=blevel,ready=fifo,proc=est,insert=on``)
 directly, so synthesized schedulers flow through benchmarks, scenarios
 and the adversarial engine as ordinary names.  :data:`BNP_SPECS` names
-the six paper designs; each is placement-identical to its monolith on
-the golden differential corpus.
+the six paper designs, and the registry resolves their acronyms
+(``HLFET`` ... ``LAST``) to :class:`ParamScheduler` instances running
+those specs: the component loop is their only implementation.
 """
 
 from .insertion import INSERTION_POLICIES, InsertionPolicy

@@ -9,8 +9,9 @@ tracks membership so a spec with a coupled selector remains valid.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Optional
 
+from ...core.kernel import LazyPriorityQueue
 from ...core.listsched import ReadyTracker
 from .priorities import PriorityState
 
@@ -18,7 +19,13 @@ __all__ = ["ReadyPolicy", "ReadyPool", "READY_POLICIES"]
 
 
 class ReadyPool:
-    """Per-run pool state produced by :meth:`ReadyPolicy.start`."""
+    """Per-run pool state produced by :meth:`ReadyPolicy.start`.
+
+    ``pops`` counts best-ready selections of a re-sorted pool; the loop
+    reports it once per run as the ``sched.heap_pops`` counter.
+    """
+
+    pops = 0
 
     def pop(self) -> int:
         """Remove and return the pool's best ready node."""
@@ -30,18 +37,28 @@ class ReadyPool:
 
 
 class _SortedPool(ReadyPool):
-    """Re-sorted pool: a lazy heap over the priority rule's keys."""
+    """Re-sorted pool: a lazy heap over the priority rule's keys.
 
-    __slots__ = ("_queue",)
+    The heap is seeded from the ready set on the first pop, so a run
+    whose coupled selector never pops pays for no heap at all.
+    """
+
+    __slots__ = ("_ready", "_prio", "_queue")
 
     def __init__(self, ready: ReadyTracker, prio: PriorityState):
-        self._queue = ready.priority_queue(prio.key)
+        self._ready = ready
+        self._prio = prio
+        self._queue: Optional[LazyPriorityQueue] = None
 
     def pop(self) -> int:
+        if self._queue is None:
+            self._queue = self._ready.priority_queue(self._prio.key)
+        self.pops += 1
         return self._queue.pop_best()
 
     def push(self, node: int) -> None:
-        self._queue.push(node)
+        if self._queue is not None:
+            self._queue.push(node)
 
 
 class _FifoPool(ReadyPool):

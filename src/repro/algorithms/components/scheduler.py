@@ -8,11 +8,10 @@ the pool *after* the priority rule's dynamic update (the order the LAST
 invariant requires), and the insertion policy may back-fill the idle
 window the placement opened.
 
-For the six named specs in
-:data:`~repro.algorithms.components.spec.BNP_SPECS` this loop performs
-the monolith's operations in the monolith's order — same kernel calls,
-same tie-breaks, same epsilons — which is what the differential-corpus
-pinning tests lock down placement-for-placement.
+The paper's six BNP acronyms are registered here as named specs
+(:data:`~repro.algorithms.components.spec.BNP_SPECS`): ``HLFET`` ...
+``LAST`` run this loop, and the differential corpus pins their
+placements.
 """
 
 from __future__ import annotations
@@ -26,10 +25,10 @@ from ...core.machine import Machine
 from ...core.schedule import Schedule
 from ...obs import metrics as _metrics
 from ...obs import trace as _trace
-from ..base import Scheduler
+from ..base import Scheduler, register
 from .pools import ReadyPool
 from .priorities import PriorityState
-from .spec import SchedulerSpec
+from .spec import BNP_SPECS, SchedulerSpec
 
 __all__ = ["ParamScheduler", "run_component_loop"]
 
@@ -44,27 +43,28 @@ class ParamScheduler(Scheduler):
     iff its priority rule is, dynamic iff the priority updates or the
     selector couples node and processor choice, and inserting iff the
     insertion policy is not ``off``.
+
+    ``name`` defaults to the spec's canonical string; the six paper
+    acronyms pass their own name and the paper's ``complexity``.
     """
 
     klass = "BNP"
 
-    def __init__(self, spec: SchedulerSpec):
+    def __init__(self, spec: SchedulerSpec, name: Optional[str] = None,
+                 complexity: Optional[str] = None):
         self.spec = spec
-        parts = spec.components()
-        self._prio_rule = parts["prio"]
-        self._ready_policy = parts["ready"]
-        self._selector = parts["proc"]
-        self._insertion = parts["insert"]
-        self.name = spec.canonical()
-        self.cp_based = self._prio_rule.cp_based
-        self.dynamic_priority = (self._prio_rule.dynamic
-                                 or self._selector.coupled)
-        self.uses_insertion = (self._insertion.slot
-                               or self._insertion.hole_fill)
-        self.complexity = "O(p v^2)" if self._selector.coupled else "O(v^2)"
+        self._parts = parts = spec.components()
+        prio, selector, insertion = (parts["prio"], parts["proc"],
+                                     parts["insert"])
+        self.name = name or spec.canonical()
+        self.cp_based = prio.cp_based
+        self.dynamic_priority = prio.dynamic or selector.coupled
+        self.uses_insertion = insertion.slot or insertion.hole_fill
+        self.complexity = complexity or (
+            "O(p v^2)" if selector.coupled else "O(v^2)")
 
     def _run(self, graph: TaskGraph, machine: Machine) -> Schedule:
-        return run_component_loop(self.spec.components(), graph, machine)
+        return run_component_loop(self._parts, graph, machine)
 
 
 def run_component_loop(
@@ -94,10 +94,12 @@ def run_component_loop(
         for node, proc, start, duration in pinned:
             schedule.place(node, proc, start, duration=duration)
             _settle(ready, prio, pool, node)
-        pick = parts["proc"].start(schedule, ready)
+        # Arrival profiles of ready nodes, shared by the hole filler and
+        # the decoupled selectors: a ready node's parents never move.
+        profiles: Dict[int, ArrivalProfile] = {}
+        pick = parts["proc"].start(schedule, ready, profiles)
         slot = parts["insert"].slot
         hole = parts["insert"].hole_fill
-        profiles: Dict[int, ArrivalProfile] = {}
         gap_begin = 0.0
         while not ready.all_scheduled():
             node, proc, start = pick(pool, prio, slot)
@@ -109,6 +111,8 @@ def run_component_loop(
                 profiles.pop(node, None)
                 _fill_hole(schedule, ready, pool, prio, proc,
                            gap_begin, start, profiles)
+        if pool.pops:
+            _metrics.incr("sched.heap_pops", pool.pops)
     return schedule
 
 
@@ -140,9 +144,9 @@ def _fill_hole(schedule: Schedule, ready: ReadyTracker, pool: ReadyPool,
     stealing it into the hole trades global placement quality for local
     utilisation.
 
-    ``profiles`` caches one arrival profile per ready candidate across
-    the run (a ready node's parents never move); it serves both the
-    hole's data-ready time and the "elsewhere" check.
+    ``profiles`` is the run's arrival-profile cache of ready nodes; it
+    serves both the hole's data-ready time and the "elsewhere" check,
+    and the selector's pick of the node later.
     """
     while gap_end - gap_begin > 1e-12:
         placed_any = False
@@ -168,3 +172,12 @@ def _fill_hole(schedule: Schedule, ready: ReadyTracker, pool: ReadyPool,
             break
         if not placed_any:
             break
+
+
+#: The complexity the paper gives each of its six BNP heuristics.
+_PAPER_COMPLEXITY = {"HLFET": "O(v^2)", "ISH": "O(v^2)",
+                     "MCP": "O(v^2 log v)", "ETF": "O(p v^2)",
+                     "DLS": "O(p v^3)", "LAST": "O(v(e+v))"}
+
+for _acro, _spec in BNP_SPECS.items():
+    register(ParamScheduler(_spec, _acro, _PAPER_COMPLEXITY[_acro]))

@@ -12,15 +12,16 @@ priority rule participates through its scalar ``value`` (ETF's
 tie-break, DLS's dynamic-level term).
 
 Both coupled selectors run the shared
-:class:`~repro.core.listsched.CoupledScan` — the same candidate
-shortlist and comparison keys as the ETF/DLS monoliths — so composing
-one with the monolith's priority rule is placement-identical to the
-hand-written algorithm.
+:class:`~repro.core.listsched.CoupledScan`: one numpy block per step
+over the candidate shortlist, with the lexicographic tie-breaks of the
+scalar pair loop it replaced.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, Tuple
+
+from ...core.kernel import ArrivalProfile
 
 from ...core.listsched import (
     best_proc_min_eft,
@@ -44,16 +45,18 @@ Pick = Callable[[ReadyPool, PriorityState, bool], Tuple[int, int, float]]
 class ProcSelector:
     """One value of the ``proc=`` axis.
 
-    ``start`` binds the selector to one run's schedule and ready
-    tracker (creating any per-run scan state, as ``prio.start`` and
-    ``pool.start`` do) and returns its :data:`Pick` function.
+    ``start`` binds the selector to one run's schedule, ready tracker
+    and cache of ready nodes' arrival profiles (creating any per-run
+    scan state, as ``prio.start`` and ``pool.start`` do) and returns
+    its :data:`Pick` function.
     """
 
     key: str = "?"
     summary: str = "?"
     coupled: bool = False
 
-    def start(self, schedule: Schedule, ready: ReadyTracker) -> Pick:
+    def start(self, schedule: Schedule, ready: ReadyTracker,
+              profiles: Dict[int, ArrivalProfile]) -> Pick:
         raise NotImplementedError
 
 
@@ -63,11 +66,13 @@ class _MinEstSelector(ProcSelector):
                "minimising its start time")
     coupled = False
 
-    def start(self, schedule: Schedule, ready: ReadyTracker) -> Pick:
+    def start(self, schedule: Schedule, ready: ReadyTracker,
+              profiles: Dict[int, ArrivalProfile]) -> Pick:
         def pick(pool: ReadyPool, prio: PriorityState,
                  slot: bool) -> Tuple[int, int, float]:
             node = pool.pop()
-            proc, start = best_proc_min_est(schedule, node, insertion=slot)
+            proc, start = best_proc_min_est(schedule, node, insertion=slot,
+                                            profile=profiles.get(node))
             return node, proc, start
         return pick
 
@@ -79,43 +84,44 @@ class _MinEftSelector(ProcSelector):
                "est only under heterogeneous speeds)")
     coupled = False
 
-    def start(self, schedule: Schedule, ready: ReadyTracker) -> Pick:
+    def start(self, schedule: Schedule, ready: ReadyTracker,
+              profiles: Dict[int, ArrivalProfile]) -> Pick:
         def pick(pool: ReadyPool, prio: PriorityState,
                  slot: bool) -> Tuple[int, int, float]:
             node = pool.pop()
             proc, _finish = best_proc_min_eft(schedule, node,
-                                              insertion=slot)
+                                              insertion=slot,
+                                              profile=profiles.get(node))
             return node, proc, est_on_proc(schedule, node, proc, slot)
         return pick
 
 
-class _EtfSelector(ProcSelector):
-    key = "etf"
-    summary = ("ETF's global scan: the (ready node, processor) pair "
-               "with the overall earliest start wins; priority value "
-               "breaks ties")
+class _CoupledSelector(ProcSelector):
+    """A pair scan over the whole ready set: one ``CoupledScan`` rule."""
+
     coupled = True
 
-    def start(self, schedule: Schedule, ready: ReadyTracker) -> Pick:
-        scan = CoupledScan(schedule, ready)
-        return lambda pool, prio, slot: scan.earliest(prio.value, slot)
+    def __init__(self, key: str, summary: str,
+                 rule: Callable[..., Tuple[int, int, float]]):
+        self.key = key
+        self.summary = summary
+        self._rule = rule
 
-
-class _DlsSelector(ProcSelector):
-    key = "dls"
-    summary = ("DLS's dynamic level: maximise priority value minus "
-               "start time over all (ready node, processor) pairs")
-    coupled = True
-
-    def start(self, schedule: Schedule, ready: ReadyTracker) -> Pick:
-        scan = CoupledScan(schedule, ready)
-        return lambda pool, prio, slot: scan.dynamic_level(prio.value,
-                                                           slot)
+    def start(self, schedule: Schedule, ready: ReadyTracker,
+              profiles: Dict[int, ArrivalProfile]) -> Pick:
+        scan, rule = CoupledScan(schedule, ready), self._rule
+        return lambda pool, prio, slot: rule(scan, prio.value, slot)
 
 
 PROC_SELECTORS: Dict[str, ProcSelector] = {
     "est": _MinEstSelector(),
     "eft": _MinEftSelector(),
-    "etf": _EtfSelector(),
-    "dls": _DlsSelector(),
+    "etf": _CoupledSelector(
+        "etf", "ETF's global scan: the (ready node, processor) pair "
+        "with the overall earliest start wins; priority value breaks "
+        "ties", CoupledScan.earliest),
+    "dls": _CoupledSelector(
+        "dls", "DLS's dynamic level: maximise priority value minus "
+        "start time over all (ready node, processor) pairs",
+        CoupledScan.dynamic_level),
 }

@@ -11,8 +11,9 @@ always render in the fixed order above with every axis spelled out, so
 two spellings of the same combination can never produce two cache keys.
 
 :data:`BNP_SPECS` pins the paper's six BNP schedulers to their
-component coordinates; the differential-corpus tests hold each of these
-specs placement-identical to its hand-written monolith.
+component coordinates.  Those coordinates *are* the six schedulers:
+``get_scheduler("MCP")`` runs the ``alaplist`` spec under the name
+``MCP``, and the differential corpus pins its placements.
 """
 
 from __future__ import annotations
@@ -85,7 +86,9 @@ class SchedulerSpec:
                 for axis, registry in AXES.items()}
 
 
-#: The paper's six BNP schedulers as component coordinates.
+#: The paper's six BNP schedulers as component coordinates (origins in
+#: :mod:`repro.algorithms`); the registry resolves each acronym to a
+#: scheduler running its spec.
 BNP_SPECS: Dict[str, SchedulerSpec] = {
     "HLFET": SchedulerSpec("slevel", "prio", "est", "off"),
     "ISH": SchedulerSpec("slevel", "prio", "est", "hole"),

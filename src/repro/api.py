@@ -30,6 +30,7 @@ identity — equal keys guarantee bit-identical schedules.
 
 from __future__ import annotations
 
+import numbers
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
 from .core.exceptions import GraphError, MachineError
@@ -81,21 +82,44 @@ def as_graph(source: GraphLike, name: Optional[str] = None) -> TaskGraph:
             edges = dict(raw_edges)
         else:
             try:
-                edges = {(int(u), int(v)): float(c)
-                         for u, v, c in raw_edges}
+                # A list of triples, not a dict: TaskGraph rejects a
+                # repeated (u, v) instead of keeping its last cost.
+                edges = [(_index(u), _index(v), _number(c, "edge costs"))
+                         for u, v, c in raw_edges]
             except (TypeError, ValueError) as exc:
                 raise GraphError(
                     f"graph 'edges' must be [u, v, cost] triples ({exc})"
                 ) from None
         try:
-            weights = [float(w) for w in source["weights"]]
-        except (TypeError, ValueError) as exc:
+            weights = [_number(w, "weights") for w in source["weights"]]
+        except TypeError as exc:
             raise GraphError(
-                f"graph 'weights' must be numbers ({exc})") from None
+                f"graph 'weights' must be a list of numbers ({exc})"
+            ) from None
         return TaskGraph(weights, edges,
                          name=name or str(source.get("name", "request")))
     raise GraphError(
         f"cannot build a task graph from {type(source).__name__}")
+
+
+def _number(value: Any, what: str) -> float:
+    """``value`` as a float, if it is a real number and not a bool."""
+    # The JSON types pass first: the ABC check is slow per element.
+    if type(value) not in (float, int) and (
+            isinstance(value, bool) or not isinstance(value, numbers.Real)):
+        raise GraphError(f"graph {what} must be numbers, got {value!r}")
+    return float(value)
+
+
+def _index(value: Any) -> int:
+    """``value`` as a node index, if it is integral and not a bool."""
+    if type(value) is int:
+        return value
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not float(value).is_integer()):
+        raise GraphError(
+            f"graph node indices must be integers, got {value!r}")
+    return int(value)
 
 
 def as_machine(source: MachineLike, graph: TaskGraph) -> Machine:

@@ -458,21 +458,14 @@ def algo_main(argv: Optional[List[str]] = None) -> int:
     from ..sim.online import OnlineScheduler
 
     if isinstance(sched, (ParamScheduler, OnlineScheduler)):
-        print("  components:")
-        for axis, component in sched.spec.components().items():
-            label = f"{axis}={getattr(sched.spec, axis)}"
-            print(f"    {label:<16} {component.summary}")
+        spec = sched.spec
         if isinstance(sched, OnlineScheduler):
-            print(f"  information mode: {sched.spec.imode}")
-        monoliths = [acro for acro, spec in BNP_SPECS.items()
-                     if spec == sched.spec.base()] \
-            if isinstance(sched, OnlineScheduler) else \
-            [acro for acro, spec in BNP_SPECS.items()
-             if spec == sched.spec]
-        if monoliths:
-            print(f"  equivalent monolith: {monoliths[0]}")
-    elif sched.name in BNP_SPECS:
-        print(f"  component spec:   {BNP_SPECS[sched.name].canonical()}")
+            print(f"  information mode: {spec.imode}")
+            spec = spec.base()
+        print(f"  components:       {spec.canonical()}")
+        for axis, component in spec.components().items():
+            label = f"{axis}={getattr(spec, axis)}"
+            print(f"    {label:<16} {component.summary}")
     return 0
 
 

@@ -12,6 +12,7 @@ critical path) are computed lazily and cached.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import (
     Any,
@@ -41,11 +42,11 @@ class TaskGraph:
     ----------
     weights:
         Sequence of computation costs; ``weights[i]`` is the cost of node
-        ``i``.  Must be positive.
+        ``i``.  Must be finite and positive.
     edges:
         Mapping ``(u, v) -> communication cost`` or iterable of
-        ``(u, v, cost)`` triples.  Costs must be non-negative (a zero cost
-        edge still carries a precedence constraint).
+        ``(u, v, cost)`` triples.  Costs must be finite and non-negative
+        (a zero cost edge still carries a precedence constraint).
     name:
         Optional human-readable identifier used in benchmark reports.
 
@@ -81,6 +82,8 @@ class TaskGraph:
         w = np.asarray(list(weights), dtype=np.float64)
         if w.ndim != 1 or w.size == 0:
             raise GraphError("a task graph needs at least one node")
+        if not np.all(np.isfinite(w)):
+            raise GraphError("computation costs must be finite")
         if np.any(w <= 0):
             raise GraphError("computation costs must be positive")
         n = int(w.size)
@@ -99,6 +102,9 @@ class TaskGraph:
                 raise GraphError(f"edge ({u}, {v}) references unknown node")
             if u == v:
                 raise GraphError(f"self loop on node {u}")
+            if not math.isfinite(c):
+                raise GraphError(
+                    f"non-finite communication cost on ({u}, {v})")
             if c < 0:
                 raise GraphError(f"negative communication cost on ({u}, {v})")
             if (u, v) in cost:

@@ -344,6 +344,5 @@ class LazyPriorityQueue:
         while heap:
             key, node = heapq.heappop(heap)
             if self._alive(node) and key == self._key(node):
-                _metrics.incr("sched.heap_pops")
                 return node
         raise IndexError("pop from an empty ready queue")

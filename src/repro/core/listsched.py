@@ -93,7 +93,7 @@ class ReadyTracker:
             self._num_left -= 1
         released: List[int] = []
         remaining = self._unscheduled_parents
-        for child in self.graph.successors(node):
+        for child in self.graph.succ_pairs(node)[0]:
             remaining[child] -= 1
             if remaining[child] == 0:
                 self._in_ready[child] = 1

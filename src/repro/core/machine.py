@@ -21,6 +21,7 @@ processor ``p``.  The paper grid never sets speeds; the scenario engine
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Any, Optional, Sequence, Tuple
 
 from .exceptions import MachineError
@@ -38,8 +39,9 @@ def normalized_speeds(speeds: Optional[Sequence[float]], num_procs: int,
 
     Shared by :class:`Machine` and :class:`~repro.core.schedule.Schedule`
     so the two can never disagree on what counts as heterogeneous:
-    length must match ``num_procs``, every factor must be positive, and
-    an all-ones profile normalises to ``None`` (the homogeneous model).
+    length must match ``num_procs``, every factor must be finite and
+    positive, and an all-ones profile normalises to ``None`` (the
+    homogeneous model).
     ``error`` is the exception class to raise on violations.
     """
     if speeds is None:
@@ -48,6 +50,8 @@ def normalized_speeds(speeds: Optional[Sequence[float]], num_procs: int,
     if len(speeds) != num_procs:
         raise error(
             f"{len(speeds)} speed factors for {num_procs} processors")
+    if not all(math.isfinite(s) for s in speeds):
+        raise error("processor speeds must be finite")
     if any(s <= 0 for s in speeds):
         raise error("processor speeds must be positive")
     if all(s == 1.0 for s in speeds):  # repro: noqa-RPR005 exact-uniform config check, speeds are user input not computed times

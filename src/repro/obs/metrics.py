@@ -3,15 +3,15 @@
 The registry shares the tracer's arming model (``REPRO_TRACE=1``, see
 :mod:`repro.obs.trace`): disarmed, :func:`incr`/:func:`observe` return
 after one module-global load and one environment probe — cheap enough
-to sit inside ``LazyPriorityQueue.pop_best`` and the arrival-profile
-builder without moving the bench gate.
+to sit inside the arrival-profile builder without moving the bench
+gate.
 
 Counter names form a small registry (see DESIGN.md "Observability"):
 
 ===================== ==================================================
 ``kernel.sweeps``      level-batched attribute sweeps executed (local)
 ``kernel.profiles``    arrival profiles built
-``sched.heap_pops``    successful lazy-heap pops
+``sched.heap_pops``    best-ready pops from re-sorted ready pools
 ``sched.insertion_holes``  hole-filled placements (ISH-style back-fill)
 ``sim.events``         static-replay heap events popped
 ``online.events``      online-engine heap events popped

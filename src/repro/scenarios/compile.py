@@ -182,12 +182,10 @@ def online_counterpart(algorithm: str, imode: str, seed: int = 0) -> str:
     designs or a ``param:`` spec (the schema's ``online`` check
     guarantees this for compiled scenarios).
     """
-    from ..algorithms.components import BNP_SPECS, parse_spec
+    from ..algorithms.components import parse_spec
     from ..sim.online import OnlineSchedulerSpec
 
-    base = (parse_spec(algorithm)
-            if algorithm.lower().startswith("param:")
-            else BNP_SPECS[algorithm.upper()])
+    base = parse_spec(algorithm)
     return OnlineSchedulerSpec(
         prio=base.prio, ready=base.ready, proc=base.proc,
         insert=base.insert, imode=imode, seed=seed,

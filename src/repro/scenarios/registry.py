@@ -239,7 +239,7 @@ SCENARIOS: Dict[str, dict] = {
         "name": "component-grid",
         "description": "Cartesian sweep of list-scheduler components "
                        "(priority x ready pool x processor selector x "
-                       "insertion) beside the six hand-written BNP "
+                       "insertion) beside the paper's six BNP "
                        "designs they generalise",
         "graphs": {"generator": "rgnos", "sizes": [30],
                    "ccrs": [1.0], "parallelisms": [3], "seed": 151},

@@ -761,11 +761,10 @@ def _check_online_algorithms(spec: ScenarioSpec) -> None:
     """
     if not spec.online:
         return
-    from ..algorithms.components import BNP_SPECS
+    from ..algorithms import ParamScheduler, get_scheduler
 
     bad = [n for n in spec.algorithm_names
-           if n.upper() not in BNP_SPECS
-           and not n.lower().startswith("param:")]
+           if not isinstance(get_scheduler(n), ParamScheduler)]
     _expect(not bad, "online",
             "online counterparts exist only for component-expressible "
             "schedulers (the named BNP designs and 'param:' specs), but "

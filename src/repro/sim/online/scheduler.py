@@ -35,6 +35,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from ...algorithms.base import Scheduler
+from ...algorithms.components import ParamScheduler
 from ...algorithms.components.scheduler import run_component_loop
 from ...core.graph import TaskGraph
 from ...core.machine import Machine
@@ -157,16 +158,14 @@ class OnlineScheduler(Scheduler):
 
     def __init__(self, spec: OnlineSchedulerSpec):
         self.spec = spec
-        parts = spec.components()
         self.name = spec.canonical()
-        self.cp_based = parts["prio"].cp_based
+        static = ParamScheduler(spec.base())
+        self.cp_based = static.cp_based
         # Replanning re-ranks the remainder after every deviation, so
         # every online scheduler is dynamic regardless of its rule.
         self.dynamic_priority = True
-        self.uses_insertion = (parts["insert"].slot
-                               or parts["insert"].hole_fill)
-        base = "O(p v^2)" if parts["proc"].coupled else "O(v^2)"
-        self.complexity = f"{base} per (re)plan"
+        self.uses_insertion = static.uses_insertion
+        self.complexity = f"{static.complexity} per (re)plan"
 
     def _run(self, graph: TaskGraph, machine: Machine) -> Schedule:
         return simulate_online(graph, machine, self.spec,

@@ -51,10 +51,41 @@ class TestAdapters:
         {"weights": [1.0, "x"]},                        # non-numeric
         {"weights": [1.0, 2.0], "edges": [[0, 1]]},     # not a triple
         42,
+        {"weights": [1.0, 1.0], "edges": [[0, 1.5, 1.0]]},  # fractional
+        {"weights": [1.0, 1.0], "edges": [[False, True, 1.0]]},  # bools
+        {"weights": [1.0, 1.0],
+         "edges": [[0, 1, 1.0], [0, 1, 2.0]]},          # duplicate edge
+        {"weights": [1.0, "1"]},                        # numeric string
+        {"weights": [1.0, True]},                       # bool weight
+        {"weights": [1.0, 1.0], "edges": [[0, 1, "2"]]},  # string cost
+        {"weights": [1.0, float("nan")]},               # non-finite
     ])
     def test_as_graph_rejects_malformed(self, bad):
         with pytest.raises(GraphError):
             api.as_graph(bad)
+
+    def test_fractional_index_no_longer_aliases_a_request_key(self):
+        # [0, 1.5, c] used to truncate to node 1 and share the key of
+        # [0, 1, c]; now only the well-formed request has a key.
+        good = {"weights": [1.0, 2.0], "edges": [[0, 1, 3.0]]}
+        bad = {"weights": [1.0, 2.0], "edges": [[0, 1.5, 3.0]]}
+        assert api.request_key(good, 2, "mcp")
+        with pytest.raises(GraphError):
+            api.request_key(bad, 2, "mcp")
+        # An integral float still names the node it spells.
+        same = {"weights": [1.0, 2.0], "edges": [[0, 1.0, 3.0]]}
+        assert (api.request_key(same, 2, "mcp")
+                == api.request_key(good, 2, "mcp"))
+
+    def test_nan_weight_is_a_graph_error_not_an_empty_queue(self):
+        with pytest.raises(GraphError, match="finite"):
+            api.schedule({"weights": [1.0, float("nan")],
+                          "edges": [[0, 1, 1.0]]}, 2, "mcp")
+
+    def test_nan_speed_is_a_machine_error(self):
+        g = TaskGraph([1.0, 2.0], {(0, 1): 1.0})
+        with pytest.raises(MachineError, match="finite"):
+            api.as_machine({"procs": 2, "speeds": [float("nan"), 1.0]}, g)
 
     def test_as_machine_forms(self):
         g = TaskGraph([1.0, 2.0], {(0, 1): 1.0})

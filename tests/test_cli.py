@@ -369,12 +369,16 @@ class TestAlgoVerbs:
         assert "components:" in out
         for line in ("prio=alap", "ready=prio", "proc=est", "insert=on"):
             assert line in out
-        assert "equivalent monolith" not in out  # not a named design
+        assert ("components:       "
+                "param:prio=alap,ready=prio,proc=est,insert=on") in out
 
-    def test_algo_describe_named_shorthand_cites_monolith(self, capsys):
+    def test_algo_describe_named_shorthand_shows_its_components(
+            self, capsys):
         assert main(["algo", "describe", "param:last"]) == 0
         out = capsys.readouterr().out
-        assert "equivalent monolith: LAST" in out
+        assert out.startswith(
+            "param:prio=dnode,ready=prio,proc=est,insert=off  [BNP]")
+        assert "prio=dnode" in out and "LAST's D_NODE" in out
 
     def test_algo_describe_unknown_exits_2_one_line(self, capsys):
         assert main(["algo", "describe", "NOPE"]) == 2
@@ -444,4 +448,5 @@ class TestOnlineCLI:
         assert main(["algo", "describe", "online:mcp,imode=mean"]) == 0
         out = capsys.readouterr().out
         assert "information mode: mean" in out
-        assert "equivalent monolith: MCP" in out
+        assert ("components:       "
+                "param:prio=alaplist,ready=prio,proc=est,insert=on") in out

@@ -1,13 +1,12 @@
 """Component-model tests: spec grammar, golden pinning, properties.
 
-The heart of the file is the golden-pinning class: each of the six
-named :data:`BNP_SPECS` configurations must reproduce its hand-written
-monolith *placement-for-placement* against the committed differential
-corpus — the same corpus files :mod:`test_differential` holds the
-monoliths to, so spec-vs-monolith equality is checked transitively
-through goldens that predate the component model.  Hypothesis
-properties then hold every random component combination to the model
-invariants (complete, validated schedules on bounded machines).
+The paper's six BNP acronyms *are* named :data:`BNP_SPECS` points run
+by the component loop.  :mod:`test_differential` pins the acronyms to
+the committed differential corpus; the golden-pinning test here holds
+their ``param:`` spellings to the same goldens, so both ways of naming
+a design schedule identically.  Hypothesis properties then hold every
+random component combination to the model invariants (complete,
+validated schedules on bounded machines).
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ _GRAPHS = corpus_graphs()
 
 
 # ----------------------------------------------------------------------
-# golden pinning: six named specs == six monoliths, bit for bit
+# golden pinning: the six param: spellings == the six acronyms' goldens
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("graph", _GRAPHS, ids=[g.name for g in _GRAPHS])
 def test_named_specs_match_golden_corpus(graph):
@@ -65,24 +64,39 @@ def test_named_specs_match_golden_corpus(graph):
                     f"(P{wproc}, {wstart}, {wfinish})")
                 break
     assert not mismatches, (
-        "component specs diverged from the monoliths' golden corpus:\n  "
+        "param: spellings diverged from the acronyms' golden corpus:\n  "
         + "\n  ".join(mismatches))
 
 
-def test_bnp_specs_cover_exactly_the_six_monoliths():
-    assert sorted(BNP_SPECS) == ["DLS", "ETF", "HLFET", "ISH", "LAST",
-                                 "MCP"]
+_PAPER_COMPLEXITY = {"HLFET": "O(v^2)", "ISH": "O(v^2)",
+                     "MCP": "O(v^2 log v)", "ETF": "O(p v^2)",
+                     "DLS": "O(p v^3)", "LAST": "O(v(e+v))"}
+
+# The paper's taxonomy (Section 4): (cp_based, dynamic, insertion).
+_PAPER_FLAGS = {"HLFET": (False, False, False),
+                "ISH": (False, False, True),
+                "MCP": (True, False, True),
+                "ETF": (False, True, False),
+                "DLS": (False, True, False),
+                "LAST": (False, True, False)}
+
+
+def test_acronyms_resolve_to_their_specs():
+    assert sorted(BNP_SPECS) == sorted(_PAPER_FLAGS)
     # Distinct designs must map to distinct coordinates.
     assert len(set(BNP_SPECS.values())) == 6
     for acro, spec in BNP_SPECS.items():
-        mono = get_scheduler(acro)
+        sched = get_scheduler(acro)
+        assert isinstance(sched, ParamScheduler), acro
+        assert sched.spec == spec
+        assert sched.name == acro and sched.klass == "BNP"
+        assert (sched.cp_based, sched.dynamic_priority,
+                sched.uses_insertion) == _PAPER_FLAGS[acro], acro
+        assert sched.complexity == _PAPER_COMPLEXITY[acro]
+        # The param: spelling is another name (and cache fingerprint)
+        # for the same spec.
         param = get_scheduler(spec.canonical())
-        assert param.klass == "BNP"
-        # The taxonomy flags the paper keys its analysis on must agree
-        # between monolith and component spelling.
-        assert param.cp_based == mono.cp_based, acro
-        assert param.dynamic_priority == mono.dynamic_priority, acro
-        assert param.uses_insertion == mono.uses_insertion, acro
+        assert param is not sched and param.spec == spec
 
 
 # ----------------------------------------------------------------------

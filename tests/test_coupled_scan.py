@@ -64,7 +64,7 @@ class _OracleSelector(ProcSelector):
         self.key = "dls" if dls else "etf"
         self._dls = dls
 
-    def start(self, schedule, ready):
+    def start(self, schedule, ready, profiles):
         return lambda pool, prio, slot: _pair_loop(
             schedule, ready, prio.value, slot, self._dls)
 
@@ -130,7 +130,7 @@ def test_scan_matches_pair_loop(graph, proc, prio, insert, procs, speeds,
        speeds=st.one_of(st.none(), st.lists(
            st.sampled_from([0.5, 1.0, 2.0]), min_size=1, max_size=3)))
 @settings(max_examples=100, deadline=None)
-def test_monoliths_match_pair_loop(graph, name, procs, speeds):
+def test_acronyms_match_pair_loop(graph, name, procs, speeds):
     machine = _machine(graph, procs, speeds)
     want = run_component_loop(_parts("slevel", name.lower(), "off",
                                      oracle=True), graph, machine)

@@ -33,6 +33,17 @@ class TestConstruction:
         with pytest.raises(GraphError):
             TaskGraph([1, 1], {(0, 1): -1.0})
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_weight_rejected(self, bad):
+        # NaN slips past a positivity check (nan <= 0 is False).
+        with pytest.raises(GraphError, match="finite"):
+            TaskGraph([1.0, bad], {})
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_comm_rejected(self, bad):
+        with pytest.raises(GraphError, match="non-finite"):
+            TaskGraph([1, 1], {(0, 1): bad})
+
     def test_zero_comm_allowed(self):
         g = TaskGraph([1, 1], {(0, 1): 0.0})
         assert g.comm_cost(0, 1) == 0.0

@@ -15,6 +15,11 @@ class TestMachine:
         with pytest.raises(MachineError):
             Machine(0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_speed_rejected(self, bad):
+        with pytest.raises(MachineError, match="finite"):
+            Machine(2, speeds=[bad, 1.0])
+
     def test_unbounded_from_graph(self):
         g = TaskGraph([1.0] * 7, {})
         m = Machine.unbounded(g)

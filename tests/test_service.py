@@ -123,6 +123,10 @@ class TestErrorContract:
     @pytest.mark.parametrize("raw, code", [
         (b'{"graph": {"edges": [[0, 1, 1.0]]}}', "graph"),
         (b'{"graph": {"weights": [1.0, "x"]}}', "graph"),
+        # A bare NaN is valid to Python's json; it used to reach the
+        # worker and come back as a 500.
+        (b'{"graph": {"weights": [1.0, NaN], "edges": [[0, 1, 1.0]]}}',
+         "graph"),
         (b'{"spec": "mcp"}', "graph"),          # no graph at all
         (b'not json and not stg', "graph"),
         (b'{"graph": ' + json.dumps(GRAPH).encode()
