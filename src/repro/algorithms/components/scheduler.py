@@ -45,14 +45,17 @@ class ParamScheduler(Scheduler):
     insertion policy is not ``off``.
 
     ``name`` defaults to the spec's canonical string; the six paper
-    acronyms pass their own name and the paper's ``complexity``.
+    acronyms pass their own name, a one-line ``headline`` citing the
+    paper's source and the paper's ``complexity``.
     """
 
     klass = "BNP"
 
     def __init__(self, spec: SchedulerSpec, name: Optional[str] = None,
+                 headline: Optional[str] = None,
                  complexity: Optional[str] = None):
         self.spec = spec
+        self.headline = headline
         self._parts = parts = spec.components()
         prio, selector, insertion = (parts["prio"], parts["proc"],
                                      parts["insert"])
@@ -94,12 +97,10 @@ def run_component_loop(
         for node, proc, start, duration in pinned:
             schedule.place(node, proc, start, duration=duration)
             _settle(ready, prio, pool, node)
-        # Arrival profiles of ready nodes, shared by the hole filler and
-        # the decoupled selectors: a ready node's parents never move.
-        profiles: Dict[int, ArrivalProfile] = {}
-        pick = parts["proc"].start(schedule, ready, profiles)
+        pick = parts["proc"].start(schedule, ready)
         slot = parts["insert"].slot
         hole = parts["insert"].hole_fill
+        profiles: Dict[int, ArrivalProfile] = {}
         gap_begin = 0.0
         while not ready.all_scheduled():
             node, proc, start = pick(pool, prio, slot)
@@ -144,9 +145,9 @@ def _fill_hole(schedule: Schedule, ready: ReadyTracker, pool: ReadyPool,
     stealing it into the hole trades global placement quality for local
     utilisation.
 
-    ``profiles`` is the run's arrival-profile cache of ready nodes; it
-    serves both the hole's data-ready time and the "elsewhere" check,
-    and the selector's pick of the node later.
+    ``profiles`` caches one arrival profile per ready candidate across
+    the run (a ready node's parents never move); it serves both the
+    hole's data-ready time and the "elsewhere" check.
     """
     while gap_end - gap_begin > 1e-12:
         placed_any = False
@@ -174,10 +175,22 @@ def _fill_hole(schedule: Schedule, ready: ReadyTracker, pool: ReadyPool,
             break
 
 
-#: The complexity the paper gives each of its six BNP heuristics.
-_PAPER_COMPLEXITY = {"HLFET": "O(v^2)", "ISH": "O(v^2)",
-                     "MCP": "O(v^2 log v)", "ETF": "O(p v^2)",
-                     "DLS": "O(p v^3)", "LAST": "O(v(e+v))"}
+#: The paper's six BNP heuristics: ``algo describe`` headline and the
+#: complexity the paper gives.
+_PAPER_BNP = {
+    "HLFET": ("HLFET — Highest Level First with Estimated Times "
+              "(Adam et al., 1974).", "O(v^2)"),
+    "ISH": ("ISH — Insertion Scheduling Heuristic "
+            "(Kruatrachue & Lewis, 1987).", "O(v^2)"),
+    "MCP": ("MCP — Modified Critical Path (Wu & Gajski, 1990).",
+            "O(v^2 log v)"),
+    "ETF": ("ETF — Earliest Time First (Hwang, Chow, Anger & Lee, 1989).",
+            "O(p v^2)"),
+    "DLS": ("DLS — Dynamic Level Scheduling (Sih & Lee, 1993), "
+            "clique variant.", "O(p v^3)"),
+    "LAST": ("LAST — Localized Allocation of Static Tasks "
+             "(Baxter & Patel, 1989).", "O(v(e+v))"),
+}
 
 for _acro, _spec in BNP_SPECS.items():
-    register(ParamScheduler(_spec, _acro, _PAPER_COMPLEXITY[_acro]))
+    register(ParamScheduler(_spec, _acro, *_PAPER_BNP[_acro]))

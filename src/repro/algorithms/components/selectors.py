@@ -21,8 +21,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Tuple
 
-from ...core.kernel import ArrivalProfile
-
 from ...core.listsched import (
     best_proc_min_eft,
     best_proc_min_est,
@@ -45,18 +43,16 @@ Pick = Callable[[ReadyPool, PriorityState, bool], Tuple[int, int, float]]
 class ProcSelector:
     """One value of the ``proc=`` axis.
 
-    ``start`` binds the selector to one run's schedule, ready tracker
-    and cache of ready nodes' arrival profiles (creating any per-run
-    scan state, as ``prio.start`` and ``pool.start`` do) and returns
-    its :data:`Pick` function.
+    ``start`` binds the selector to one run's schedule and ready
+    tracker (creating any per-run scan state, as ``prio.start`` and
+    ``pool.start`` do) and returns its :data:`Pick` function.
     """
 
     key: str = "?"
     summary: str = "?"
     coupled: bool = False
 
-    def start(self, schedule: Schedule, ready: ReadyTracker,
-              profiles: Dict[int, ArrivalProfile]) -> Pick:
+    def start(self, schedule: Schedule, ready: ReadyTracker) -> Pick:
         raise NotImplementedError
 
 
@@ -66,13 +62,11 @@ class _MinEstSelector(ProcSelector):
                "minimising its start time")
     coupled = False
 
-    def start(self, schedule: Schedule, ready: ReadyTracker,
-              profiles: Dict[int, ArrivalProfile]) -> Pick:
+    def start(self, schedule: Schedule, ready: ReadyTracker) -> Pick:
         def pick(pool: ReadyPool, prio: PriorityState,
                  slot: bool) -> Tuple[int, int, float]:
             node = pool.pop()
-            proc, start = best_proc_min_est(schedule, node, insertion=slot,
-                                            profile=profiles.get(node))
+            proc, start = best_proc_min_est(schedule, node, insertion=slot)
             return node, proc, start
         return pick
 
@@ -84,14 +78,12 @@ class _MinEftSelector(ProcSelector):
                "est only under heterogeneous speeds)")
     coupled = False
 
-    def start(self, schedule: Schedule, ready: ReadyTracker,
-              profiles: Dict[int, ArrivalProfile]) -> Pick:
+    def start(self, schedule: Schedule, ready: ReadyTracker) -> Pick:
         def pick(pool: ReadyPool, prio: PriorityState,
                  slot: bool) -> Tuple[int, int, float]:
             node = pool.pop()
             proc, _finish = best_proc_min_eft(schedule, node,
-                                              insertion=slot,
-                                              profile=profiles.get(node))
+                                              insertion=slot)
             return node, proc, est_on_proc(schedule, node, proc, slot)
         return pick
 
@@ -107,8 +99,7 @@ class _CoupledSelector(ProcSelector):
         self.summary = summary
         self._rule = rule
 
-    def start(self, schedule: Schedule, ready: ReadyTracker,
-              profiles: Dict[int, ArrivalProfile]) -> Pick:
+    def start(self, schedule: Schedule, ready: ReadyTracker) -> Pick:
         scan, rule = CoupledScan(schedule, ready), self._rule
         return lambda pool, prio, slot: rule(scan, prio.value, slot)
 

@@ -448,6 +448,8 @@ def algo_main(argv: Optional[List[str]] = None) -> int:
         return _fail(str(exc.args[0]) if exc.args else str(exc))
     mod = sys.modules[type(sched).__module__]
     headline = (mod.__doc__ or "").strip().splitlines()
+    if isinstance(sched, ParamScheduler) and sched.headline:
+        headline = [sched.headline]
     print(f"{sched.name}  [{sched.klass}]")
     if headline:
         print(f"  {headline[0]}")

@@ -360,7 +360,8 @@ class TestAlgoVerbs:
     def test_algo_describe_monolith_shows_component_spec(self, capsys):
         assert main(["algo", "describe", "mcp"]) == 0
         out = capsys.readouterr().out
-        assert "MCP" in out and "[BNP]" in out
+        assert out.startswith("MCP  [BNP]\n  MCP — Modified Critical Path "
+                              "(Wu & Gajski, 1990).\n")
         assert "param:prio=alaplist,ready=prio,proc=est,insert=on" in out
 
     def test_algo_describe_param_resolves_components(self, capsys):

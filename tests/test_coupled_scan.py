@@ -64,7 +64,7 @@ class _OracleSelector(ProcSelector):
         self.key = "dls" if dls else "etf"
         self._dls = dls
 
-    def start(self, schedule, ready, profiles):
+    def start(self, schedule, ready):
         return lambda pool, prio, slot: _pair_loop(
             schedule, ready, prio.value, slot, self._dls)
 
