@@ -7,7 +7,8 @@ responsible layer instead of "scheduling got slower":
 * arrival-profile construction + queries (the O(deg + procs) data-ready
   path),
 * ready tracker + lazy heap drain,
-* insertion slot search on a crowded timeline.
+* insertion slot search on a crowded timeline,
+* ``validate()`` of a finished schedule (precedence over the edge arrays).
 
 Run together with the smoke suite (one shared baseline)::
 
@@ -20,7 +21,9 @@ from __future__ import annotations
 
 from repro.core.attributes import blevel, static_blevel, tlevel
 from repro.core.listsched import ReadyTracker, best_proc_min_est
-from repro.core.schedule import Schedule
+from repro.algorithms import get_scheduler
+from repro.core.machine import Machine
+from repro.core.schedule import Schedule, validate
 from repro.generators.random_graphs import rgnos_graph
 
 NODES = 1200
@@ -122,3 +125,12 @@ def test_kernel_insertion_slot_search(benchmark):
                 for n in sample]
 
     assert len(benchmark(run)) == len(sample)
+
+
+def test_kernel_validate(benchmark):
+    """validate() of one ladder schedule: 128k precedence edges."""
+    g = _fresh_graph()
+    schedule = get_scheduler("HLFET").schedule(g, Machine(NODES))
+    validate(schedule)  # builds the cached CSR outside the timing
+
+    assert benchmark(validate, schedule) is None

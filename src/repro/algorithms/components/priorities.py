@@ -80,7 +80,7 @@ class _DnodeState(PriorityState):
     :meth:`key`.
     """
 
-    __slots__ = ("_graph", "_sl", "_incident", "_settled", "value")
+    __slots__ = ("_graph", "_sl", "_settled", "value")
 
     def __init__(self, graph: TaskGraph):
         self._graph = graph
@@ -89,17 +89,20 @@ class _DnodeState(PriorityState):
         for u, v, c in graph.edges():
             incident[u] += c
             incident[v] += c
-        self._incident = incident
-        self._settled = [0.0] * graph.num_nodes
-        self.value = self._d
+        settled = self._settled = [0.0] * graph.num_nodes
 
-    def _d(self, node: int) -> float:
-        if self._incident[node] <= 0:
-            return 1.0  # isolated w.r.t. communication: fully localised
-        return self._settled[node] / self._incident[node]
+        # A closure, not a bound method: a bound method stored on the
+        # instance is a reference cycle, which keeps the graph alive
+        # until the next full garbage collection.
+        def value(node: int) -> float:
+            if incident[node] <= 0:
+                return 1.0  # isolated w.r.t. communication: fully localised
+            return settled[node] / incident[node]
+
+        self.value = value
 
     def key(self, node: int) -> Tuple[float, float, int]:
-        return (-self._d(node), -self._sl[node], node)
+        return (-self.value(node), -self._sl[node], node)
 
     def on_scheduled(self, node: int) -> None:
         succs, succ_costs = self._graph.succ_pairs(node)

@@ -180,8 +180,14 @@ class TaskGraph:
         return len(self._pred[node])
 
     def edges(self) -> List[Tuple[int, int, float]]:
-        """All edges as ``(u, v, cost)`` triples in deterministic order."""
-        return sorted((u, v, c) for (u, v), c in self._edge_cost.items())
+        """All edges as ``(u, v, cost)`` triples, sorted by ``(u, v)``.
+
+        A fresh list on every call.  The adjacency lists are already
+        sorted, so it is read off them without sorting.
+        """
+        succ, costs = self._succ, self._succ_costs
+        return [(u, v, c) for u in range(self.num_nodes)
+                for v, c in zip(succ[u], costs[u])]
 
     def nodes(self) -> range:
         """Node ids ``0 .. num_nodes-1``."""

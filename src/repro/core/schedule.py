@@ -17,6 +17,7 @@ reservations; :func:`validate` then checks the full contention model.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -29,6 +30,8 @@ from typing import (
     overload,
 )
 
+import numpy as np
+
 from ..check import sanitize as _sanitize
 from .exceptions import ScheduleError
 from .graph import TaskGraph
@@ -38,6 +41,7 @@ __all__ = ["Placement", "Message", "Schedule", "Violation", "validate",
            "render_violations"]
 
 _EPS = 1e-9
+_EDGE_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -408,7 +412,9 @@ def validate(schedule: Schedule, *, network: Any = None,
     them as a table.  Checks:
 
     1. every task is scheduled exactly once, within processor range;
-    2. no two tasks overlap on a processor;
+    2. no two tasks overlap on a processor, and each runs for its
+       weight over its processor's speed (within 1e-6, or four ulps
+       of its start/finish times when that is wider);
     3. every precedence edge is honoured: a child starts no earlier than
        the parent's finish plus the communication delay —
        * clique model: ``c(u, v)`` when processors differ;
@@ -456,9 +462,8 @@ def _iter_violations(schedule: Schedule, *, network: Any,
                     "negative-start",
                     f"node {pl.node} starts before time 0",
                     node=pl.node, proc=proc)
-            if check_durations and abs(
-                    (pl.finish - pl.start)
-                    - schedule.duration_of(pl.node, proc)) > 1e-6:
+            if check_durations and _duration_off(
+                    pl.start, pl.finish, schedule.duration_of(pl.node, proc)):
                 yield Violation(
                     "duration",
                     f"node {pl.node} duration does not match its weight "
@@ -471,12 +476,16 @@ def _iter_violations(schedule: Schedule, *, network: Any,
                     node=pl.node, proc=proc)
             prev_finish, prev_node = pl.finish, pl.node
 
+    if network is None:
+        yield from _iter_clique_precedence(schedule)
+        return
+
     # Precedence + communication checks.
     for u, v, c in g.edges():
         pu, pv = schedule.placement(u), schedule.placement(v)
         if pu.proc == pv.proc:
             ready = pu.finish
-        elif network is None or c <= 0:
+        elif c <= 0:
             # Zero-cost messages are instantaneous and occupy no channel
             # even under the contention model.
             ready = pu.finish + c
@@ -497,8 +506,60 @@ def _iter_violations(schedule: Schedule, *, network: Any,
                 f"is ready at {ready}",
                 node=v, proc=pv.proc)
 
-    if network is not None:
-        yield from _iter_channel_violations(schedule)
+    yield from _iter_channel_violations(schedule)
+
+
+def _duration_off(start: float, finish: float, duration: float) -> bool:
+    """True when ``finish - start`` (a task or a message hop) misses
+    ``duration`` by more than 1e-6 and by more than 4 ulps of the
+    larger time.
+
+    ``finish = start + duration`` rounds to half an ulp of the finish
+    time, so a bare 1e-6 rejects correct schedules whose times pass
+    ~1e10.  Four ulps stay below 1e-6 up to 2**20 (~1e6), where the
+    bound is the absolute 1e-6 alone.
+    """
+    err = abs((finish - start) - duration)
+    return err > 1e-6 and err > 4 * math.ulp(max(abs(start), abs(finish)))
+
+
+def _iter_clique_precedence(schedule: Schedule) -> Iterator[Violation]:
+    """Precedence violations under the clique model, over edge arrays.
+
+    The same floats as a per-edge loop: ``ready = finish[u]``, plus
+    ``c(u, v)`` when the processors differ, and a violation when
+    ``start[v] < ready - 1e-6``.  It reads the predecessor CSR, which
+    the b-level sweeps of nearly every scheduler have already cached
+    (building the successor CSR as well cost 2 MB at 128k edges), so
+    the flagged edges are sorted back into ``(u, v)`` order.  Edges go
+    in blocks of ``_EDGE_BLOCK`` to keep the temporaries small.
+    """
+    indptr, parent, cost = schedule.graph.pred_csr()
+    procs, starts, fins = (schedule._node_proc, schedule._node_start,
+                           schedule._node_finish)
+    proc = np.array(procs)
+    fin = np.array(fins, dtype=np.float64)
+    start = np.array(starts, dtype=np.float64)
+    late: List[Tuple[int, int, float]] = []
+    for lo in range(0, len(parent), _EDGE_BLOCK):
+        hi = min(lo + _EDGE_BLOCK, len(parent))
+        u, c = parent[lo:hi], cost[lo:hi]
+        v = np.searchsorted(indptr, np.arange(lo, hi), side="right") - 1
+        ready = fin[u]
+        np.add(ready, c, out=ready, where=proc[u] != proc[v])
+        hit = np.flatnonzero(start[v] < ready - 1e-6)
+        if hit.size:
+            late.extend(zip(u[hit].tolist(), v[hit].tolist(),
+                            c[hit].tolist()))
+    for pu, pv, c_uv in sorted(late):
+        # The stored scalars, so the message prints them as the
+        # per-edge loop did.
+        ready_u = fins[pu] if procs[pu] == procs[pv] else fins[pu] + c_uv
+        yield Violation(
+            "precedence",
+            f"node {pv} starts at {starts[pv]} before its input from "
+            f"{pu} is ready at {ready_u}",
+            node=pv, proc=procs[pv])
 
 
 def _iter_message_violations(msg: Message, pu: Placement, pv: Placement,
@@ -535,7 +596,7 @@ def _iter_message_violations(msg: Message, pu: Placement, pv: Placement,
                 f"message ({msg.src}, {msg.dst}) hop on {link} starts "
                 "before the data reaches the sending node",
                 node=msg.dst)
-        if abs((finish - start) - hop_time) > 1e-6:
+        if _duration_off(start, finish, hop_time):
             yield Violation(
                 "hop-duration",
                 f"message ({msg.src}, {msg.dst}) hop on {link} does not "

@@ -64,6 +64,20 @@ def kwok9() -> TaskGraph:
 
 
 @pytest.fixture
+def huge30() -> TaskGraph:
+    """30 tasks with weights and costs in [1e9, 1e10]: times reach
+    ~1e11, where one ulp (~1.5e-5) is wider than an absolute 1e-6."""
+    import random
+
+    rng = random.Random(3)
+    weights = [rng.uniform(1e9, 1e10) for _ in range(30)]
+    edges = {(u, v): rng.uniform(1e9, 1e10)
+             for u in range(30) for v in range(u + 1, 30)
+             if rng.random() < 0.2}
+    return TaskGraph(weights, edges, name="huge30")
+
+
+@pytest.fixture
 def machine2() -> Machine:
     return Machine(2)
 

@@ -10,7 +10,7 @@ import pytest
 from repro import Machine, TaskGraph
 from repro.algorithms.apn.bsa import cpn_dominant_list
 from repro.algorithms.components.priorities import _descendant_alap_lists
-from repro.algorithms.unc.lc import LC
+from repro.algorithms.unc.lc import LongestPaths
 from repro.algorithms.unc.md import MD
 from repro.core.attributes import alap, blevel, tlevel
 
@@ -54,15 +54,18 @@ class TestMCPInternals:
 
 class TestLCInternals:
     def test_longest_path_full_graph(self, wgraph):
-        path = LC._longest_path(wgraph, set(wgraph.nodes()))
+        path = LongestPaths(wgraph).longest()
         assert path == [0, 2, 3]
 
     def test_longest_path_after_removal(self, wgraph):
-        path = LC._longest_path(wgraph, {1, 3})
-        assert path == [1, 3]
+        paths = LongestPaths(wgraph)
+        paths.remove([0, 2])
+        assert paths.longest() == [1, 3]
 
     def test_longest_path_singleton(self, wgraph):
-        assert LC._longest_path(wgraph, {1}) == [1]
+        paths = LongestPaths(wgraph)
+        paths.remove([0, 2, 3])
+        assert paths.longest() == [1]
 
 
 class TestMDInternals:

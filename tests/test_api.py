@@ -167,6 +167,15 @@ class TestEntryPoints:
         assert s1.to_dict() == s2.to_dict()
         assert s1.length > 0
 
+    @pytest.mark.parametrize("spec", ["HLFET", "ISH", "MCP", "ETF", "DLS",
+                                      "LAST", "EZ", "LC", "DSC", "MD",
+                                      "DCP", "BSA"])
+    def test_large_magnitude_schedules_validate(self, huge30, spec):
+        from repro import NetworkMachine, Topology
+
+        machine = NetworkMachine(Topology.ring(4)) if spec == "BSA" else None
+        assert api.schedule(huge30, machine, spec).length > 1e10
+
     def test_schedule_unknown_spec_raises(self):
         with pytest.raises(KeyError, match="unknown scheduler"):
             api.schedule({"weights": [1.0]}, 1, "NOPE")

@@ -30,6 +30,7 @@ from repro.algorithms import (
 from repro.algorithms.components import AXES, expand_param_grid
 from repro.core.machine import Machine
 from repro.core.schedule import validate
+from repro.generators.random_graphs import rgnos_graph
 
 _GRAPHS = corpus_graphs()
 
@@ -350,3 +351,19 @@ class TestScenarioIntegration:
         rows2 = [r for _, rows in second.rows for r in rows]
         assert rows1 == rows2
         assert len(rows1) == compiled.num_cells == 4
+
+
+def test_last_priority_state_leaves_no_reference_cycle():
+    """LAST's D_NODE state references its graph; in a reference cycle
+    it would keep the graph alive until the next full collection."""
+    import gc
+
+    graph = rgnos_graph(30, 1.0, 3, seed=4)
+    get_scheduler("LAST").schedule(graph, Machine(4))  # warm imports
+    gc.collect()
+    gc.disable()
+    try:
+        get_scheduler("LAST").schedule(graph, Machine(4))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -26,6 +26,7 @@ from repro.core.attributes import (
     static_tlevel,
     tlevel,
 )
+from repro.core.graph import TaskGraph
 from repro.core.kernel import LazyPriorityQueue
 from repro.core.listsched import ReadyTracker
 from repro.core.schedule import Schedule, validate
@@ -62,6 +63,22 @@ def test_pair_lists_match_adjacency(graph):
         preds, pcosts = graph.pred_pairs(u)
         assert list(preds) == graph.predecessors(u)
         assert pcosts == [graph.comm_cost(p, u) for p in preds]
+
+
+@given(task_graphs(), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_edges_are_the_sorted_cost_triples(graph, rnd):
+    """edges() reads the adjacency lists: it must equal sorting the
+    edge dict, whatever order the edges were given in."""
+    perm = list(graph.nodes())
+    rnd.shuffle(perm)
+    triples = [(perm[u], perm[v], c + rnd.random())
+               for u, v, c in graph.edges()]
+    rnd.shuffle(triples)
+    g = TaskGraph(graph.weights, triples)
+    got = g.edges()
+    assert got == sorted((u, v, c) for (u, v), c in g._edge_cost.items())
+    assert got is not g.edges()  # a fresh list: callers extend it
 
 
 # ----------------------------------------------------------------------

@@ -239,6 +239,29 @@ class TestValidation:
         with pytest.raises(ScheduleError, match="edge cost"):
             validate(s, network=topo)
 
+    def test_duration_tolerance_is_1e6_below_1e6(self, g3):
+        def codes(off):
+            s = Schedule(g3, 3)
+            for node in range(3):
+                s.place(node, node, 5e5, duration=g3.weight(node) + off)
+            return [v.code for v in validate(s, collect=True)]
+
+        assert codes(0.9e-6) == ["precedence", "precedence"]
+        assert codes(1.1e-6) == ["duration"] * 3 + ["precedence"] * 2
+
+    def test_duration_tolerance_scales_past_1e6(self, huge30):
+        from repro.algorithms import get_scheduler
+
+        s = get_scheduler("HLFET").schedule(huge30, Machine(4))
+        assert s.length > 1e10
+        assert validate(s, collect=True) == []
+        last = max(huge30.nodes(), key=s.finish_of)
+        pl = s.unplace(last)
+        s.place(last, pl.proc, pl.start,
+                duration=pl.finish - pl.start + 1.0)
+        bad = validate(s, collect=True)
+        assert [(v.code, v.node) for v in bad] == [("duration", last)]
+
     def test_to_dict(self, g3):
         s = self._full(g3)
         d = s.to_dict()

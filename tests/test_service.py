@@ -92,6 +92,17 @@ class TestScheduleEndpoint:
         assert warm["schedule"] == cold["schedule"]
         assert stats["scheduled"] == 1
 
+    def test_large_magnitude_graph_answers_200(self, huge30):
+        graph = {"weights": huge30.weights.tolist(),
+                 "edges": [list(e) for e in huge30.edges()]}
+
+        def body(service, client):
+            return client.schedule(graph, None, "mcp")
+
+        status, payload = _serve(body)
+        assert status == 200
+        assert payload["length"] > 1e10
+
     def test_stg_text_request(self):
         def body(service, client):
             from repro.io.stg import dumps_stg
